@@ -3,11 +3,10 @@
 //!
 //! Two sweeps:
 //!
-//! * **Read storm**: every request reads the same hot key. Precise
+//! * **Read storm**: every request reads the same hot key. Read-only
 //!   footprints let the whole storm commit batch-per-batch-size (read-read
-//!   pairs don't conflict); the all-RMW ablation serializes it into ~2N
-//!   batches. The batch/deferral counts are schedule-independent evidence —
-//!   they hold on any machine, 1 CPU or 64.
+//!   pairs don't conflict). The batch/deferral counts are
+//!   schedule-independent evidence — they hold on any machine, 1 CPU or 64.
 //! * **Pipelining**: uniform YCSB-B, where consecutive batches are mostly
 //!   disjoint — pipelined dispatch vs the PR 3 full barrier per batch.
 //!
@@ -24,9 +23,7 @@ fn main() {
     println!(
         "=== Hot-key read storm: {requests} reads of ONE key, 4 shards, {cpus} CPU(s) visible ==="
     );
-    for row in se_bench::read_storm_rows(requests, 4) {
-        println!("{}", row.to_table_row());
-    }
+    println!("{}", se_bench::read_storm_row(requests, 4).to_table_row());
 
     let requests = 60_000;
     println!();

@@ -2,22 +2,21 @@
 //! commit classes, and frame-liveness pruning, measured on the real
 //! multi-threaded sharded runtime.
 //!
-//! Three ablations:
+//! Three workloads, each pinning one lever by its schedule counters:
 //!
 //! * **Per-parameter write sets**, on audited YCSB-B (95 % reads, 5 %
-//!   audited transfers sharing ONE audit-log account). One-bit
-//!   `writes_ref_args` write-locks the log on every transfer; per-parameter
-//!   effects prove the log read-only.
+//!   audited transfers sharing ONE audit-log account): per-parameter
+//!   effects prove the log read-only, so the transfers do not serialize on
+//!   it.
 //! * **Commutative commit classes**, on the Zipfian θ=0.99 credit storm
-//!   (100 % commutative increments over hot keys) vs the write-write-defer
-//!   baseline.
+//!   (100 % commutative increments over hot keys).
 //! * **Frame liveness**, on YCSB+T (cross-shard transfers): dead locals
-//!   dropped at split points vs every slot shipped, measured as bytes/hop.
-//!   The same table reports the per-partition key interner's savings.
+//!   are dropped at split points, measured as bytes/hop. The same table
+//!   reports the per-partition key interner's savings.
 //!
 //! Batch, deferral, and byte counts are schedule-independent — identical on
 //! any machine. CAVEAT (same as `batch_pipeline`): on a single-CPU container
-//! wall-clock deltas mostly reflect the serial path; see BENCH_pr7.json.
+//! wall-clock numbers mostly reflect the serial path; see BENCH_pr7.json.
 
 fn main() {
     let cpus = std::thread::available_parallelism()
@@ -28,9 +27,10 @@ fn main() {
     println!(
         "=== Audited YCSB-B: {requests} requests, one shared audit log, 4 shards, {cpus} CPU(s) visible ==="
     );
-    for row in se_bench::per_param_rows(requests, 4) {
-        println!("{}", row.to_table_row());
-    }
+    println!(
+        "{}",
+        se_bench::audited_ycsb_b_row(requests, 4).to_table_row()
+    );
 
     // 60k requests to stay comparable with PR 4's pipelining ablation
     // (127 batches / 615 deferrals on the same spec).
@@ -40,14 +40,13 @@ fn main() {
 
     println!();
     println!("=== Commutative hot-key storm: {requests} zipfian credits, 4 shards ===");
-    for row in se_bench::commutative_storm_rows(requests, 4) {
-        println!("{}", row.to_table_row());
-    }
+    println!(
+        "{}",
+        se_bench::commutative_storm_row(requests, 4).to_table_row()
+    );
 
     let requests = 20_000;
     println!();
     println!("=== Frame liveness: YCSB+T zipfian, {requests} transfers, 4 shards ===");
-    for row in se_bench::liveness_hop_rows(requests, 4) {
-        println!("{}", row.to_table_row());
-    }
+    println!("{}", se_bench::hop_bytes_row(requests, 4).to_table_row());
 }

@@ -1,7 +1,7 @@
 //! PR 3 — wall-clock throughput of the real multi-threaded sharded runtime
 //! (`shard-runtime`), YCSB-B (95 % reads) over uniform keys, as the shard
-//! count grows, plus the cross-shard mailbox-batching ablation on the
-//! transfer-heavy workload.
+//! count grows, plus the cross-shard mailbox traffic of the transfer-heavy
+//! workload.
 //!
 //! Unlike the figure benches, nothing here is virtual time: the numbers are
 //! real threads on real cores. The speedup at 4 shards therefore depends on
@@ -32,9 +32,13 @@ fn main() {
 
     let requests = 30_000;
     println!();
-    println!("=== Mailbox batching ablation: YCSB-T uniform, {requests} requests, 4 shards ===");
-    println!("mode               | kreq/s | cross-shard channel sends");
-    for (label, kreq, sends) in se_bench::mailbox_batching_rows(4, requests) {
-        println!("{label:<18} | {kreq:>6.1} | {sends}");
-    }
+    println!("=== Cross-shard mailboxes: YCSB-T uniform, {requests} requests, 4 shards ===");
+    println!("kreq/s | cross-shard channel sends | events per send");
+    let row = se_bench::transfer_mailbox_row(4, requests);
+    println!(
+        "{:>6.1} | {:>25} | {:>15.1}",
+        row.kreq_per_sec,
+        row.cross_shard_batches,
+        row.cross_shard_events as f64 / row.cross_shard_batches.max(1) as f64
+    );
 }

@@ -401,22 +401,33 @@ pub struct ShardScalingRow {
     pub cross_shard_events: u64,
 }
 
-fn shard_runtime_for(
-    shards: usize,
-    batch_mailboxes: bool,
-    spec: &WorkloadSpec,
-) -> shard_runtime::ShardRuntime {
-    let program = account_program();
-    let config = shard_runtime::ShardConfig {
+/// The seeded 10,000-account workload every engine bench row runs.
+fn engine_spec(mix: WorkloadMix, distribution: KeyDistribution, requests: usize) -> WorkloadSpec {
+    WorkloadSpec {
+        mix,
+        distribution,
+        record_count: 10_000,
+        requests_per_second: requests as u64,
+        duration_secs: 1,
+        seed: 0xEDB7,
+    }
+}
+
+/// The shipped engine configuration at bench batch size (512 calls, an
+/// epoch every 16 batches).
+fn engine_config(shards: usize) -> shard_runtime::ShardConfig {
+    shard_runtime::ShardConfig {
         shards,
         batch_size: 512,
         epoch_every_batches: 16,
-        full_snapshot_every: 4,
-        batch_mailboxes,
         ..shard_runtime::ShardConfig::default()
-    };
-    let mut rt =
-        shard_runtime::ShardRuntime::new(program.ir.clone(), config).expect("compiled IR verifies");
+    }
+}
+
+fn shard_runtime_for(shards: usize, spec: &WorkloadSpec) -> shard_runtime::ShardRuntime {
+    let program = account_program();
+    let mut rt = shard_runtime::ShardRuntime::new(program.ir.clone(), engine_config(shards))
+        .expect("compiled IR verifies");
     for i in 0..spec.record_count {
         rt.load_entity("Account", &account_init_args(i, 64))
             .unwrap();
@@ -428,64 +439,40 @@ fn shard_runtime_for(
     rt
 }
 
+fn scaling_row(shards: usize, requests: usize, spec: &WorkloadSpec) -> ShardScalingRow {
+    let mut rt = shard_runtime_for(shards, spec);
+    let t = std::time::Instant::now();
+    let report = rt.run().unwrap();
+    let elapsed = t.elapsed().as_secs_f64();
+    assert_eq!(report.answered(), requests);
+    ShardScalingRow {
+        shards,
+        requests,
+        elapsed_ms: elapsed * 1e3,
+        kreq_per_sec: requests as f64 / elapsed / 1e3,
+        events_per_shard: report.events_per_shard.clone(),
+        cross_shard_batches: report.cross_shard_batches,
+        cross_shard_events: report.cross_shard_events,
+    }
+}
+
 /// Run YCSB-B (95 % reads, uniform keys) on the multi-threaded sharded
 /// runtime for each shard count, measuring wall-clock throughput.
 pub fn shard_scaling_rows(shard_counts: &[usize], requests: usize) -> Vec<ShardScalingRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
+    let spec = engine_spec(WorkloadMix::ycsb_b(), KeyDistribution::Uniform, requests);
     shard_counts
         .iter()
-        .map(|&shards| {
-            let mut rt = shard_runtime_for(shards, true, &spec);
-            let t = std::time::Instant::now();
-            let report = rt.run().unwrap();
-            let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(report.answered(), requests);
-            ShardScalingRow {
-                shards,
-                requests,
-                elapsed_ms,
-                kreq_per_sec: requests as f64 / t.elapsed().as_secs_f64() / 1e3,
-                events_per_shard: report.events_per_shard.clone(),
-                cross_shard_batches: report.cross_shard_batches,
-                cross_shard_events: report.cross_shard_events,
-            }
-        })
+        .map(|&shards| scaling_row(shards, requests, &spec))
         .collect()
 }
 
-/// Mailbox-batching ablation on a cross-shard-heavy workload (100 %
-/// transfers): per-`(shard, class)` drained vectors vs one channel send per
-/// event. Returns `(label, kreq/s, cross-shard channel sends)` per mode.
-pub fn mailbox_batching_rows(shards: usize, requests: usize) -> Vec<(&'static str, f64, u64)> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_t(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    [("batched mailboxes", true), ("per-event sends", false)]
-        .into_iter()
-        .map(|(label, batched)| {
-            let mut rt = shard_runtime_for(shards, batched, &spec);
-            let t = std::time::Instant::now();
-            let report = rt.run().unwrap();
-            assert_eq!(report.answered(), requests);
-            (
-                label,
-                requests as f64 / t.elapsed().as_secs_f64() / 1e3,
-                report.cross_shard_batches,
-            )
-        })
-        .collect()
+/// Cross-shard mailbox traffic on a transfer-heavy workload (100 % YCSB-T
+/// transfers, uniform keys): `cross_shard_batches` counts the drained
+/// per-`(shard, class)` vectors workers send each other, and
+/// `cross_shard_events` the events those vectors carry.
+pub fn transfer_mailbox_row(shards: usize, requests: usize) -> ShardScalingRow {
+    let spec = engine_spec(WorkloadMix::ycsb_t(), KeyDistribution::Uniform, requests);
+    scaling_row(shards, requests, &spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -537,14 +524,7 @@ impl MonitorRow {
 /// interference exceeds the instrumentation cost being measured, and
 /// best-of-N is the standard way to strip that additive noise.
 pub fn monitor_overhead_rows(shards: usize, requests: usize, trials: usize) -> Vec<MonitorRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
+    let spec = engine_spec(WorkloadMix::ycsb_b(), KeyDistribution::Uniform, requests);
     [("monitor off", false), ("monitor on", true)]
         .into_iter()
         .map(|(label, armed)| {
@@ -663,11 +643,10 @@ fn pipeline_run(
     }
 }
 
-/// Read-storm sweep: every request reads the SAME hot key. With precise
-/// footprints the storm commits batch-per-batch-size; with the all-RMW
-/// ablation every read conflicts with every other and the commit rule
-/// serializes them one (or fewer) per batch.
-pub fn read_storm_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
+/// Hot-key read storm: every request reads the SAME key. Read-only
+/// footprints never conflict, so the storm commits batch-per-batch-size
+/// with zero deferrals.
+pub fn read_storm_row(requests: usize, shards: usize) -> PipelineRow {
     let program = account_program();
     let calls: Vec<stateful_entities::MethodCall> = (0..requests)
         .map(|_| {
@@ -682,49 +661,15 @@ pub fn read_storm_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
                 .unwrap()
         })
         .collect();
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("precise footprints (read-only)", base.clone(), &calls, 64),
-        pipeline_run(
-            "all-RMW footprints (PR 3)",
-            shard_runtime::ShardConfig {
-                precise_footprints: false,
-                ..base
-            },
-            &calls,
-            64,
-        ),
-    ]
+    pipeline_run("hot-key read storm", engine_config(shards), &calls, 64)
 }
 
 /// Pipelining sweep on uniform single-entity updates (disjoint batches, the
 /// best case for overlap) — pipelined vs full-barrier-per-batch.
 pub fn pipelining_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let program = account_program();
-    let calls: Vec<stateful_entities::MethodCall> = spec
-        .operations()
-        .iter()
-        .map(|op| op.to_call(&program.ir))
-        .collect();
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
+    let spec = engine_spec(WorkloadMix::ycsb_b(), KeyDistribution::Uniform, requests);
+    let calls = spec_calls(&spec);
+    let base = engine_config(shards);
     vec![
         pipeline_run("pipelined batches", base.clone(), &calls, 10_000),
         pipeline_run(
@@ -752,100 +697,52 @@ fn spec_calls(spec: &WorkloadSpec) -> Vec<stateful_entities::MethodCall> {
         .collect()
 }
 
-/// Per-parameter write-set ablation on **audited YCSB-B**: 95 % reads, 5 %
-/// audited transfers that all consult one shared audit-log account. The
-/// one-bit `writes_ref_args` summary write-locks the log on every transfer —
-/// a global serialization point; per-parameter effects prove the log
-/// parameter read-only, so the transfers commit in parallel. Batch and
-/// deferral counts are schedule-independent (identical on any core count).
-pub fn per_param_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b_audited(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("per-parameter write sets", base.clone(), &calls, 10_000),
-        pipeline_run(
-            "one-bit writes_ref_args (PR 4)",
-            shard_runtime::ShardConfig {
-                per_param_footprints: false,
-                ..base
-            },
-            &calls,
-            10_000,
-        ),
-    ]
-}
-
-/// Plain YCSB-B under the full PR 7 default configuration — the ROADMAP
-/// item 4 headline number (batch count and deferral rate).
-pub fn ycsb_b_row(requests: usize, shards: usize) -> PipelineRow {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_b(),
-        distribution: KeyDistribution::Uniform,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
+/// **Audited YCSB-B**: 95 % reads, 5 % audited transfers that all consult
+/// one shared audit-log account. Per-parameter effects prove the log
+/// parameter read-only, so the transfers commit in parallel instead of
+/// serializing on the log. Batch and deferral counts are
+/// schedule-independent (identical on any core count).
+pub fn audited_ycsb_b_row(requests: usize, shards: usize) -> PipelineRow {
+    let spec = engine_spec(
+        WorkloadMix::ycsb_b_audited(),
+        KeyDistribution::Uniform,
+        requests,
+    );
     pipeline_run(
-        "YCSB-B uniform (PR 7 defaults)",
-        shard_runtime::ShardConfig {
-            shards,
-            batch_size: 512,
-            epoch_every_batches: 16,
-            ..shard_runtime::ShardConfig::default()
-        },
-        &calls,
+        "per-parameter write sets",
+        engine_config(shards),
+        &spec_calls(&spec),
         10_000,
     )
 }
 
-/// Commutative-class ablation on the hot-key storm: 100 % credits under the
-/// Zipfian θ=0.99 chooser, so the bulk of the increments piles onto a few
-/// hot keys. Commutative commit classes let commuting writers share batches
-/// like read-read pairs; the write-write-defer baseline serializes each hot
-/// key to ~1 commit per batch.
-pub fn commutative_storm_rows(requests: usize, shards: usize) -> Vec<PipelineRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::credit_storm(),
-        distribution: KeyDistribution::Zipfian,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let base = shard_runtime::ShardConfig {
-        shards,
-        batch_size: 512,
-        epoch_every_batches: 16,
-        ..shard_runtime::ShardConfig::default()
-    };
-    vec![
-        pipeline_run("commutative commit classes", base.clone(), &calls, 10_000),
-        pipeline_run(
-            "write-write defer (PR 4)",
-            shard_runtime::ShardConfig {
-                commutative_commits: false,
-                ..base
-            },
-            &calls,
-            10_000,
-        ),
-    ]
+/// Plain YCSB-B under the default configuration — the ROADMAP item 4
+/// headline number (batch count and deferral rate).
+pub fn ycsb_b_row(requests: usize, shards: usize) -> PipelineRow {
+    let spec = engine_spec(WorkloadMix::ycsb_b(), KeyDistribution::Uniform, requests);
+    pipeline_run(
+        "YCSB-B uniform (PR 7 defaults)",
+        engine_config(shards),
+        &spec_calls(&spec),
+        10_000,
+    )
+}
+
+/// Hot-key credit storm: 100 % credits under the Zipfian θ=0.99 chooser,
+/// so the bulk of the increments piles onto a few hot keys. Commutative
+/// commit classes let commuting writers share batches like read-read pairs.
+pub fn commutative_storm_row(requests: usize, shards: usize) -> PipelineRow {
+    let spec = engine_spec(
+        WorkloadMix::credit_storm(),
+        KeyDistribution::Zipfian,
+        requests,
+    );
+    pipeline_run(
+        "commutative commit classes",
+        engine_config(shards),
+        &spec_calls(&spec),
+        10_000,
+    )
 }
 
 /// One row of the frame-liveness / interner sweep: cross-shard continuation
@@ -882,59 +779,24 @@ impl HopBytesRow {
     }
 }
 
-/// Frame-liveness ablation on YCSB+T (100 % transfers — the cross-shard
-/// continuation-heavy workload): dead locals dropped at split points vs
-/// every slot shipped. `bytes_per_hop` is the measured payload delta; the
-/// interner column doubles as the hot-key resident-bytes satellite number.
-pub fn liveness_hop_rows(requests: usize, shards: usize) -> Vec<HopBytesRow> {
-    let spec = WorkloadSpec {
-        mix: WorkloadMix::ycsb_t(),
-        distribution: KeyDistribution::Zipfian,
-        record_count: 10_000,
-        requests_per_second: requests as u64,
-        duration_secs: 1,
-        seed: 0xEDB7,
-    };
-    let calls = spec_calls(&spec);
-    let program = account_program();
-    [
-        ("liveness-pruned frames", true),
-        ("all slots shipped", false),
-    ]
-    .into_iter()
-    .map(|(label, prune)| {
-        let mut rt = shard_runtime::ShardRuntime::new(
-            program.ir.clone(),
-            shard_runtime::ShardConfig {
-                shards,
-                batch_size: 512,
-                epoch_every_batches: 16,
-                liveness_prune: prune,
-                ..shard_runtime::ShardConfig::default()
-            },
-        )
-        .expect("compiled IR verifies");
-        for i in 0..10_000 {
-            rt.load_entity("Account", &account_init_args(i, 64))
-                .unwrap();
-        }
-        for call in &calls {
-            rt.submit(call.clone());
-        }
-        let t = std::time::Instant::now();
-        let report = rt.run().expect("healthy run");
-        let elapsed = t.elapsed().as_secs_f64();
-        assert_eq!(report.answered(), calls.len());
-        HopBytesRow {
-            label,
-            kreq_per_sec: calls.len() as f64 / elapsed / 1e3,
-            cross_shard_events: report.cross_shard_events,
-            hop_frame_bytes: report.hop_frame_bytes,
-            bytes_per_hop: report.hop_frame_bytes as f64 / report.cross_shard_events.max(1) as f64,
-            key_bytes_interned: report.key_bytes_interned,
-        }
-    })
-    .collect()
+/// Frame payload on YCSB+T (100 % transfers — the cross-shard
+/// continuation-heavy workload), with dead locals dropped at split points.
+/// The interner column doubles as the hot-key resident-bytes number.
+pub fn hop_bytes_row(requests: usize, shards: usize) -> HopBytesRow {
+    let spec = engine_spec(WorkloadMix::ycsb_t(), KeyDistribution::Zipfian, requests);
+    let mut rt = shard_runtime_for(shards, &spec);
+    let t = std::time::Instant::now();
+    let report = rt.run().expect("healthy run");
+    let elapsed = t.elapsed().as_secs_f64();
+    assert_eq!(report.answered(), requests);
+    HopBytesRow {
+        label: "liveness-pruned frames",
+        kreq_per_sec: requests as f64 / elapsed / 1e3,
+        cross_shard_events: report.cross_shard_events,
+        hop_frame_bytes: report.hop_frame_bytes,
+        bytes_per_hop: report.hop_frame_bytes as f64 / report.cross_shard_events.max(1) as f64,
+        key_bytes_interned: report.key_bytes_interned,
+    }
 }
 
 // ---------------------------------------------------------------------------

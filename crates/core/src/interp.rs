@@ -39,26 +39,6 @@ use std::collections::BTreeMap;
 /// loops that never terminate.
 const MAX_STEPS: usize = 1_000_000;
 
-/// Execution options for the split-method paths ([`start_opts`] /
-/// [`resume_opts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOpts {
-    /// Drop dead local slots from a frame when suspending at a remote call,
-    /// per the compile-time liveness at each split point
-    /// ([`RTerminator::RemoteCall::live_after`]). Shrinks the cross-shard
-    /// continuation payload; off = ship every slot (the pre-liveness
-    /// behavior, kept as an ablation).
-    pub prune_dead_locals: bool,
-}
-
-impl Default for ExecOpts {
-    fn default() -> Self {
-        ExecOpts {
-            prune_dead_locals: true,
-        }
-    }
-}
-
 /// Control-flow signal produced while interpreting statement lists.
 enum Flow {
     Normal,
@@ -167,18 +147,6 @@ pub fn start(
     method: MethodId,
     args: &[Value],
 ) -> RuntimeResult<StepOutcome> {
-    start_opts(ir, addr, state, method, args, ExecOpts::default())
-}
-
-/// [`start`] with explicit execution options (liveness-pruning ablation).
-pub fn start_opts(
-    ir: &DataflowIR,
-    addr: &EntityAddr,
-    state: &mut EntityState,
-    method: MethodId,
-    args: &[Value],
-    opts: ExecOpts,
-) -> RuntimeResult<StepOutcome> {
     let op = operator_by_id(ir, addr)?;
     let compiled = op
         .method_by_id(method)
@@ -190,7 +158,7 @@ pub fn start_opts(
         }
         RMethodKind::Split { blocks } => {
             let locals = bind_params(compiled, args)?;
-            run_blocks(ir, op, addr, state, compiled, blocks, locals, 0, opts)
+            run_blocks(ir, op, addr, state, compiled, blocks, locals, 0)
         }
     }
 }
@@ -202,18 +170,6 @@ pub fn resume(
     state: &mut EntityState,
     frame: Frame,
     value: Value,
-) -> RuntimeResult<StepOutcome> {
-    resume_opts(ir, addr, state, frame, value, ExecOpts::default())
-}
-
-/// [`resume`] with explicit execution options (liveness-pruning ablation).
-pub fn resume_opts(
-    ir: &DataflowIR,
-    addr: &EntityAddr,
-    state: &mut EntityState,
-    frame: Frame,
-    value: Value,
-    opts: ExecOpts,
 ) -> RuntimeResult<StepOutcome> {
     let op = operator_by_id(ir, addr)?;
     let compiled = op.method_by_id(frame.method).ok_or_else(|| {
@@ -245,7 +201,6 @@ pub fn resume_opts(
         blocks,
         locals,
         frame.resume_block,
-        opts,
     )
 }
 
@@ -275,7 +230,10 @@ fn bind_params(compiled: &CompiledMethod, args: &[Value]) -> RuntimeResult<Local
 }
 
 /// Run split blocks starting at `block_id` until the method returns or
-/// suspends at a remote call.
+/// suspends at a remote call. A suspending frame keeps only the local slots
+/// live after the split point (the compile-time
+/// [`RTerminator::RemoteCall::live_after`] mask), which shrinks the
+/// continuation shipped cross-shard.
 #[allow(clippy::too_many_arguments)]
 fn run_blocks(
     ir: &DataflowIR,
@@ -286,7 +244,6 @@ fn run_blocks(
     blocks: &[RBlock],
     mut locals: Locals,
     mut block_id: usize,
-    opts: ExecOpts,
 ) -> RuntimeResult<StepOutcome> {
     let rm = &compiled.resolved;
     let mut steps = 0usize;
@@ -365,12 +322,9 @@ fn run_blocks(
                 for arg in args {
                     arg_values.push(eval_rexpr(ir, op, state, &mut locals, rm, arg, &mut steps)?);
                 }
-                if opts.prune_dead_locals {
-                    // Ship only the slots some resume path still reads; a
-                    // wrongly dropped slot fails loudly as an undefined
-                    // variable on resume.
-                    locals.retain_slots(live_after);
-                }
+                // Ship only the slots some resume path still reads; a wrongly
+                // dropped slot fails loudly as an undefined variable on resume.
+                locals.retain_slots(live_after);
                 let frame = Frame {
                     addr: addr.clone(),
                     method: compiled.id,
@@ -1139,6 +1093,60 @@ mod tests {
         let out = resume(&ir, &user_addr, &mut user_state, frame, Value::Bool(true)).unwrap();
         assert_eq!(out, StepOutcome::Return(Value::Bool(true)));
         assert_eq!(user_state["balance"], Value::Int(80));
+    }
+
+    /// The frame `Account.transfer` suspends at `to.credit(amount)` carries
+    /// exactly its split point's `live_after` slots: `amount` survives the
+    /// hop, while `to` and `enough` — assigned before the split but never
+    /// read after it — are dropped before the continuation ships.
+    #[test]
+    fn transfer_frame_carries_only_live_after_slots() {
+        let ir = ir_for(corpus::ACCOUNT_SOURCE);
+        let addr = EntityAddr::new("Account", Key::Str("a".into()));
+        let (_, mut state) =
+            instantiate(&ir, "Account", &["a".into(), Value::Int(100), "p".into()]).unwrap();
+        let to = Value::entity_ref("Account", Key::Str("b".into()));
+        let out = start(
+            &ir,
+            &addr,
+            &mut state,
+            mid(&ir, "Account", "transfer"),
+            &[Value::Int(5), to],
+        )
+        .unwrap();
+        let frame = match out {
+            StepOutcome::Call { frame, .. } => frame,
+            other => panic!("expected suspension, got {other:?}"),
+        };
+        let transfer = ir.operator("Account").unwrap().method("transfer").unwrap();
+        let RMethodKind::Split { blocks } = &transfer.resolved.kind else {
+            panic!("transfer must be split");
+        };
+        let live_after = blocks
+            .iter()
+            .find_map(|b| match &b.terminator {
+                RTerminator::RemoteCall {
+                    resume_block,
+                    live_after,
+                    ..
+                } if *resume_block == frame.resume_block => Some(live_after.clone()),
+                _ => None,
+            })
+            .expect("the frame resumes after a remote call");
+        let carried: Vec<u32> = (0..frame.locals.len() as u32)
+            .filter(|&slot| frame.locals.get(slot).is_some())
+            .collect();
+        assert_eq!(carried, live_after);
+        let locals = &transfer.resolved.locals;
+        assert_eq!(carried, vec![locals.slot_of("amount").unwrap()]);
+        assert_eq!(
+            frame.locals.get(locals.slot_of("amount").unwrap()),
+            Some(&Value::Int(5))
+        );
+
+        let out = resume(&ir, &addr, &mut state, frame, Value::Int(5)).unwrap();
+        assert_eq!(out, StepOutcome::Return(Value::Bool(true)));
+        assert_eq!(state["balance"], Value::Int(95));
     }
 
     #[test]

@@ -117,13 +117,13 @@ fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
     Ok(())
 }
 
+/// Fsync `dir` itself, which makes a rename inside it durable. A failure is
+/// a typed error naming the directory: until this fsync succeeds, a renamed
+/// manifest is not a committed seal.
 fn sync_dir(dir: &Path) -> Result<(), DurableError> {
-    // Directory fsync makes the rename itself durable. On platforms where
-    // opening a directory for sync is unsupported, the rename is still atomic.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, &e))
 }
 
 /// A directory of checksummed snapshot files with an atomically-replaced
@@ -442,4 +442,25 @@ pub fn read_blob(path: &Path) -> Result<Vec<u8>, DurableError> {
         )));
     }
     Ok(payload.to_vec())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::TempDir;
+
+    #[test]
+    fn sync_dir_on_a_removed_directory_is_an_error_naming_it() {
+        let tmp = TempDir::new("sync-dir");
+        sync_dir(tmp.path()).expect("an existing directory syncs");
+        let gone = tmp.path().join("gone");
+        fs::create_dir(&gone).unwrap();
+        fs::remove_dir(&gone).unwrap();
+        match sync_dir(&gone) {
+            Err(DurableError::Io { path, .. }) => {
+                assert_eq!(path, gone.to_string_lossy());
+            }
+            other => panic!("expected an i/o error naming the directory, got {other:?}"),
+        }
+    }
 }

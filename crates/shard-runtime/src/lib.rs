@@ -34,39 +34,34 @@
 //! ## Precise footprints (the Read / CommWrite / Write lattice)
 //!
 //! A call's static footprint is its target address plus every entity
-//! reference among its arguments. Since PR 4 each footprint key carries a
-//! **kind** derived from the compile-time effect analysis
-//! (`stateful_entities::effects`); PR 7 widened the kind from one bit to a
-//! three-point access lattice:
+//! reference among its arguments. Each footprint key carries a **kind**
+//! derived from the compile-time effect analysis
+//! (`stateful_entities::effects`), one point of a three-point access
+//! lattice:
 //!
 //! * **Read** — the chain provably never writes the key. The target key is
 //!   a read iff the method's `writes_self` bit is clear; an argument
 //!   reference is a read iff the **per-parameter** write mask
 //!   (`CompiledMethod::param_effects`, the alias-propagated per-formal
-//!   analysis) clears its position. `ShardConfig::per_param_footprints =
-//!   false` collapses the mask back to the coarse `writes_ref_args` bit
-//!   (the PR 4 behavior); `precise_footprints = false` is the all-RMW
-//!   PR 3 baseline beneath both.
+//!   analysis) clears its position.
 //! * **CommWrite** — the target key of a *simple commutative* method (an
 //!   unguarded `self.f += arg` counter update, detected by the effect
 //!   analysis). Two commutative writers of one key commit in one batch
 //!   like a read-read pair: the committed calls of a batch dispatch to the
 //!   key's owning shard over a single FIFO channel in batch order, so they
 //!   apply in arrival order and the final state (and each call's return
-//!   value) is oracle-identical. `ShardConfig::commutative_commits =
-//!   false` demotes the kind to Write (the ablation baseline).
+//!   value) is oracle-identical.
 //! * **Write** — everything else.
 //!
 //! Two kinds are compatible only when both are Read or both are CommWrite;
 //! any other pair on a shared key defers the later call into arrival
 //! order. So a hot-key read storm *or increment storm* commits in a single
-//! batch, while every mixed pair keeps the PR 4 semantics.
+//! batch, while every mixed pair keeps write-write semantics.
 //!
-//! Two more PR 7 levers ride on the same analysis: workers execute with
+//! Two more levers ride on the same analysis: workers execute with
 //! compile-time **frame liveness** pruning (dead locals are dropped from a
-//! continuation frame before it ships cross-shard; `ShardConfig::
-//! liveness_prune = false` ships every slot, and `ShardReport::
-//! hop_frame_bytes` measures the difference), and the coordinator applies
+//! continuation frame before it ships cross-shard; `ShardReport::
+//! hop_frame_bytes` measures what ships), and the coordinator applies
 //! an **adaptive footprint fallback**: a call deferred
 //! `ShardConfig::adaptive_fallback_after` consecutive times drains the
 //! pipeline and dispatches alone — a solo batch commits unconditionally —
@@ -109,9 +104,6 @@
 //! * a worker flushes before it blocks — no event can be stranded in a
 //!   buffer while its destination sits idle;
 //! * self-routed events never enter a mailbox (they go to the local queue).
-//!
-//! Per-event sends remain available (`ShardConfig::batch_mailboxes = false`)
-//! as the ablation baseline the `shard_scaling` bench measures against.
 //!
 //! ## Barrier protocol (capture, async seal, recovery)
 //!
@@ -373,34 +365,6 @@ pub struct ShardConfig {
     /// Every `full_snapshot_every`-th epoch captures the full partition;
     /// the epochs in between emit dirty-entity deltas (`1` = always full).
     pub full_snapshot_every: u64,
-    /// Buffer cross-shard events per `(shard, ClassId)` and send them as
-    /// vectors (`true`, the default) instead of one channel send per event
-    /// (`false`, the ablation baseline).
-    pub batch_mailboxes: bool,
-    /// Classify footprint keys with the compile-time write-set analysis
-    /// (`true`, the default): read-only keys conflict only with writers, so
-    /// read-read pairs share a batch. `false` treats every key as
-    /// read-modify-write (the PR 3 behavior) — the ablation baseline the
-    /// read-storm bench measures against.
-    pub precise_footprints: bool,
-    /// Classify argument references with the **per-parameter** write masks
-    /// (`true`, the default): an argument flowing only into read-only
-    /// formals stays a read even when the method writes *some* ref arg.
-    /// `false` collapses to the coarse per-method `writes_ref_args` bit
-    /// (the PR 4 behavior) — the ablation baseline the audited-transfer
-    /// bench measures against. No effect with `precise_footprints = false`.
-    pub per_param_footprints: bool,
-    /// Grant the **CommWrite** footprint kind to target keys of simple
-    /// commutative methods (`true`, the default): commuting increments of
-    /// one hot key share a batch. `false` keeps them exclusive writers —
-    /// the ablation baseline the hot-key storm bench measures against. No
-    /// effect with `precise_footprints = false`.
-    pub commutative_commits: bool,
-    /// Drop dead local slots from continuation frames at remote-call split
-    /// points, per the compile-time liveness analysis (`true`, the
-    /// default). `false` ships every slot (the pre-PR 7 payload) — the
-    /// ablation baseline `ShardReport::hop_frame_bytes` measures against.
-    pub liveness_prune: bool,
     /// A call deferred this many consecutive times triggers the adaptive
     /// fallback: the coordinator drains the pipeline and dispatches the
     /// starved call alone (a solo batch commits unconditionally, whatever
@@ -478,11 +442,6 @@ impl Default for ShardConfig {
             batch_size: 128,
             epoch_every_batches: 8,
             full_snapshot_every: 4,
-            batch_mailboxes: true,
-            precise_footprints: true,
-            per_param_footprints: true,
-            commutative_commits: true,
-            liveness_prune: true,
             adaptive_fallback_after: 4,
             pipelined_batches: true,
             async_snapshots: true,
@@ -876,8 +835,8 @@ pub struct ShardReport {
     pub adaptive_fallbacks: u64,
     /// Total approximate bytes of continuation-frame payload (suspended
     /// locals) carried by **cross-shard** `Invoke`/`Resume` events, summed
-    /// across shards. The liveness pruning ablation
-    /// ([`ShardConfig::liveness_prune`]) moves exactly this number.
+    /// across shards. Frames are liveness-pruned at split points, so this
+    /// counts only the slots still live after each remote call.
     pub hop_frame_bytes: u64,
     /// Bytes of duplicate hot-key allocations avoided by the per-partition
     /// key interner, summed across shards (see
@@ -1145,10 +1104,6 @@ struct ShardWorker {
     inbox: Receiver<ToShard>,
     peers: Vec<Sender<ToShard>>,
     coordinator: Sender<ToCoordinator>,
-    batch_mailboxes: bool,
-    /// Interpreter options (liveness pruning on/off) for every
-    /// `start`/`resume` step this worker runs.
-    exec_opts: interp::ExecOpts,
     /// Encode captures in the background (off the barrier) instead of inside
     /// the barrier handler.
     async_snapshots: bool,
@@ -1526,9 +1481,8 @@ impl ShardWorker {
                 // duplicate string allocations.
                 let addr = self.state.intern_addr(call.target);
                 let ir = &self.ir;
-                let opts = self.exec_opts;
                 let outcome = self.state.update_with(&addr, |state| {
-                    interp::start_opts(ir, &addr, state, call.method, &call.args, opts)
+                    interp::start(ir, &addr, state, call.method, &call.args)
                 });
                 self.after_step(call_id, &addr, outcome, stack)?;
             }
@@ -1542,9 +1496,8 @@ impl ShardWorker {
                 };
                 let addr = self.state.intern_addr(frame.addr.clone());
                 let ir = &self.ir;
-                let opts = self.exec_opts;
                 let outcome = self.state.update_with(&addr, |state| {
-                    interp::resume_opts(ir, &addr, state, frame, value, opts)
+                    interp::resume(ir, &addr, state, frame, value)
                 });
                 self.after_step(call_id, &addr, outcome, stack)?;
             }
@@ -1591,7 +1544,7 @@ impl ShardWorker {
 
     /// Route a follow-up event by cached-hash modulo: to the local queue if
     /// this shard owns the target, otherwise into the per-`(shard, class)`
-    /// mailbox buffer (or straight onto the channel in the ablation mode).
+    /// mailbox buffer.
     ///
     /// An event with no routable address, or whose [`ShardMap`] destination
     /// is outside the peer table (a bad route), used to
@@ -1629,21 +1582,7 @@ impl ShardWorker {
                 }
                 _ => 0,
             };
-            if self.batch_mailboxes {
-                self.out.entry((dest, class)).or_default().push(event);
-            } else {
-                self.cross_shard_batches += 1;
-                self.cross_shard_events += 1;
-                if let Some(rng) = &mut self.schedule {
-                    rng.pause(racecheck::ScheduleSite::ChannelSend);
-                }
-                let stamp = self.monitor.as_ref().map(|m| m.stamp(self.role));
-                let _ = self.peers[dest].send(ToShard::Events {
-                    incarnation: self.incarnation,
-                    events: vec![event],
-                    stamp,
-                });
-            }
+            self.out.entry((dest, class)).or_default().push(event);
         }
         Ok(())
     }
@@ -2253,10 +2192,6 @@ impl ShardRuntime {
                 inbox: rx,
                 peers: shard_txs.clone(),
                 coordinator: coord_tx.clone(),
-                batch_mailboxes: self.config.batch_mailboxes,
-                exec_opts: interp::ExecOpts {
-                    prune_dead_locals: self.config.liveness_prune,
-                },
                 async_snapshots: self.config.async_snapshots,
                 pending_encodes: VecDeque::new(),
                 spill_dir: self.durable.as_ref().map(|t| t.spill_dir.clone()),
@@ -2490,20 +2425,6 @@ fn access_conflict(a: u8, b: u8) -> bool {
     union != ACCESS_READ && union != ACCESS_COMM
 }
 
-/// Which knobs shape a batch's footprints (a copy of the relevant
-/// [`ShardConfig`] bits, so [`FootprintSet::add_call`] stays decoupled from
-/// the config struct).
-#[derive(Debug, Clone, Copy)]
-struct FootprintMode {
-    /// Use the compile-time effect analysis at all (`false` = all-RMW).
-    precise: bool,
-    /// Use per-parameter write masks for argument references (`false` =
-    /// the coarse per-method `writes_ref_args` bit).
-    per_param: bool,
-    /// Grant `ACCESS_COMM` to commutative targets (`false` = plain write).
-    commutative: bool,
-}
-
 /// One call's deduplicated conflict footprint: each key tagged with the
 /// access mask the call chain may exercise on it. Keys of all calls of a
 /// batch live contiguously in one reused arena (no per-call allocation on
@@ -2550,11 +2471,8 @@ impl FootprintSet {
     /// reference among the arguments (scanned through lists), each key
     /// classified on the Read / CommWrite / Write lattice by the
     /// compile-time effect bits on the resolved IR. The target key follows
-    /// `writes_self` (escalating commutative targets to `ACCESS_COMM` when
-    /// `mode.commutative` allows); argument keys follow the per-parameter
-    /// write mask `param_effects[j]` (or, with `mode.per_param` off, the
-    /// coarse `writes_ref_args` bit). `mode.precise = false` restores the
-    /// all-RMW classification.
+    /// `writes_self` (escalating commutative targets to `ACCESS_COMM`);
+    /// argument keys follow the per-parameter write mask `param_effects[j]`.
     ///
     /// **Soundness of the key set.** The footprint must cover every entity
     /// the whole call chain can touch. This holds for *every* program the
@@ -2580,7 +2498,7 @@ impl FootprintSet {
     /// so intra-batch peers apply in arrival order (see the module docs).
     /// An unknown method (impossible for calls built by `resolve_call`)
     /// classifies everything as written.
-    fn add_call(&mut self, ir: &DataflowIR, call: &MethodCall, mode: FootprintMode) {
+    fn add_call(&mut self, ir: &DataflowIR, call: &MethodCall) {
         fn scan(set: &mut FootprintSet, start: usize, value: &Value, access: u8) {
             match value {
                 Value::EntityRef(addr) => {
@@ -2595,15 +2513,12 @@ impl FootprintSet {
             }
         }
         let start = self.keys.len();
-        let method = if mode.precise {
-            ir.operator_by_id(call.target.class)
-                .and_then(|op| op.method_by_id(call.method))
-        } else {
-            None
-        };
+        let method = ir
+            .operator_by_id(call.target.class)
+            .and_then(|op| op.method_by_id(call.method));
         let target_access = match method {
             Some(m) if !m.writes_self => ACCESS_READ,
-            Some(m) if m.commutative && mode.commutative => ACCESS_COMM,
+            Some(m) if m.commutative => ACCESS_COMM,
             _ => ACCESS_WRITE,
         };
         self.add_key(
@@ -2613,19 +2528,8 @@ impl FootprintSet {
         );
         for (j, arg) in call.args.iter().enumerate() {
             let access = match method {
-                Some(m) => {
-                    let writes = if mode.per_param {
-                        m.param_effects.get(j).copied().unwrap_or(true)
-                    } else {
-                        m.writes_ref_args
-                    };
-                    if writes {
-                        ACCESS_WRITE
-                    } else {
-                        ACCESS_READ
-                    }
-                }
-                None => ACCESS_WRITE,
+                Some(m) if !m.param_effects.get(j).copied().unwrap_or(true) => ACCESS_READ,
+                _ => ACCESS_WRITE,
             };
             scan(self, start, arg, access);
         }
@@ -3120,15 +3024,9 @@ impl Coordinator<'_> {
         batch: Vec<(IngressRequest, u32)>,
         report: &mut ShardReport,
     ) -> InFlightBatch {
-        let mode = FootprintMode {
-            precise: self.runtime.config.precise_footprints,
-            per_param: self.runtime.config.per_param_footprints,
-            commutative: self.runtime.config.commutative_commits,
-        };
         self.footprints.clear();
         for (request, _) in &batch {
-            self.footprints
-                .add_call(&self.runtime.ir, &request.call, mode);
+            self.footprints.add_call(&self.runtime.ir, &request.call);
         }
         let mut deferred_mask = ordered_commit_mask(
             &self.footprints,
@@ -4034,17 +3932,12 @@ entity Proxy:
             };
             requests.push(IngressRequest { call_id, call });
         }
-        let mode = FootprintMode {
-            precise: true,
-            per_param: true,
-            commutative: true,
-        };
         let mut reservations = ConflictMap::default();
         let mut footprints = FootprintSet::default();
         for batch in requests.chunks(16) {
             footprints.clear();
             for request in batch {
-                footprints.add_call(ir, &request.call, mode);
+                footprints.add_call(ir, &request.call);
             }
             let mask = ordered_commit_mask(&footprints, None, &mut reservations);
             let txns: Vec<Transaction> = batch
@@ -4085,6 +3978,50 @@ entity Proxy:
                 .map(|(r, _)| r.call_id)
                 .collect();
             assert_eq!(mask_deferred, reference.deferred, "rules diverged");
+        }
+    }
+
+    /// Every key of every `Account` method classifies on the access lattice
+    /// exactly as the per-parameter effect analysis proves: the audit log of
+    /// `transfer_audited` is only read, and a `credit` target is a
+    /// commutative writer.
+    #[test]
+    fn footprint_classes_follow_per_parameter_effects() {
+        let program = compile(corpus::ACCOUNT_SOURCE).unwrap();
+        let ir = &program.ir;
+        let key = |name: &str| {
+            let addr = EntityAddr::new("Account", Key::Str(name.into()));
+            (addr.class.as_u32(), addr.key_hash())
+        };
+        let account = |name: &str| Value::entity_ref("Account", Key::Str(name.into()));
+        let table = [
+            ("read", vec![], vec![("a", ACCESS_READ)]),
+            ("update", vec![Value::Int(1)], vec![("a", ACCESS_WRITE)]),
+            ("credit", vec![Value::Int(1)], vec![("a", ACCESS_COMM)]),
+            (
+                "transfer",
+                vec![Value::Int(1), account("b")],
+                vec![("a", ACCESS_WRITE), ("b", ACCESS_WRITE)],
+            ),
+            (
+                "transfer_audited",
+                vec![Value::Int(1), account("b"), account("log")],
+                vec![
+                    ("a", ACCESS_WRITE),
+                    ("b", ACCESS_WRITE),
+                    ("log", ACCESS_READ),
+                ],
+            ),
+        ];
+        for (method, args, expected) in table {
+            let call = ir
+                .resolve_call("Account", Key::Str("a".into()), method, args)
+                .unwrap();
+            let mut set = FootprintSet::default();
+            set.add_call(ir, &call);
+            let expected: Vec<(ConflictKey, u8)> =
+                expected.into_iter().map(|(k, a)| (key(k), a)).collect();
+            assert_eq!(set.call(0), expected.as_slice(), "{method}");
         }
     }
 
@@ -4252,51 +4189,36 @@ entity Proxy:
         );
     }
 
-    /// Tentpole (c) ablation: a hot-key credit storm commits in shared
-    /// batches when commutative classes are on (zero deferrals) and
-    /// serializes one-per-batch when they're off — with bit-for-bit equal
-    /// responses and final balances either way, because committed calls
-    /// dispatch FIFO to the owning shard in batch order.
+    /// A hot-key credit storm commits in shared batches: commuting
+    /// increments of one key are CommWrite-compatible, so 48 credits cut at
+    /// batch size 16 run in exactly 3 batches with zero deferrals. Committed
+    /// calls dispatch FIFO to the owning shard in batch order, so every
+    /// response is the sequential running balance.
     #[test]
     fn commutative_storm_commits_in_shared_batches() {
-        let run = |commutative: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_size: 16,
-                    commutative_commits: commutative,
-                    ..ShardConfig::with_shards(2)
-                },
-                4,
-            );
-            for i in 0..48u64 {
-                rt.submit(call(
-                    &rt,
-                    "acc0",
-                    "credit",
-                    vec![Value::Int(1 + (i as i64 % 3))],
-                ));
-            }
-            let report = rt.run().unwrap();
-            let balance = rt
-                .read_field("Account", Key::Str("acc0".into()), "balance")
-                .unwrap();
-            (report, balance)
-        };
-        let (on, balance_on) = run(true);
-        let (off, balance_off) = run(false);
-        assert_eq!(on.deferrals, 0, "commuting credits share batches");
-        assert!(
-            off.deferrals > 0,
-            "exclusive-write baseline defers the hot key"
+        let mut rt = account_runtime(
+            ShardConfig {
+                batch_size: 16,
+                ..ShardConfig::with_shards(2)
+            },
+            4,
         );
-        assert!(
-            on.batches < off.batches,
-            "commutative classes must shrink the batch count ({} vs {})",
-            on.batches,
-            off.batches
+        let mut expected = BTreeMap::new();
+        let mut balance = 1_000;
+        for i in 0..48u64 {
+            let amount = 1 + (i as i64 % 3);
+            let id = rt.submit(call(&rt, "acc0", "credit", vec![Value::Int(amount)]));
+            balance += amount;
+            expected.insert(id.0, Value::Int(balance));
+        }
+        let report = rt.run().unwrap();
+        assert_eq!(report.deferrals, 0, "commuting credits share batches");
+        assert_eq!(report.batches, 3, "48 credits at batch size 16");
+        assert_eq!(report.responses, expected);
+        assert_eq!(
+            rt.read_field("Account", Key::Str("acc0".into()), "balance"),
+            Some(Value::Int(balance))
         );
-        assert_eq!(on.responses, off.responses);
-        assert_eq!(balance_on, balance_off);
     }
 
     /// Satellite: a call that keeps losing the commit race under pipelining
@@ -4338,47 +4260,6 @@ entity Proxy:
         );
         assert_eq!(with.responses, without.responses);
         assert_eq!(states_with, states_without);
-    }
-
-    /// Tentpole (b) measurement: liveness pruning drops dead frame slots
-    /// (`enough`, `to`, the resume target) before a continuation crosses
-    /// shards, so the bytes-per-hop counter strictly shrinks while the
-    /// observable outcome is untouched.
-    #[test]
-    fn liveness_pruning_shrinks_cross_shard_frames() {
-        let run = |prune: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_size: 8,
-                    liveness_prune: prune,
-                    ..ShardConfig::with_shards(4)
-                },
-                8,
-            );
-            for i in 0..40u64 {
-                let to_ref =
-                    Value::entity_ref("Account", Key::Str(format!("acc{}", (i + 3) % 8).into()));
-                rt.submit(call(
-                    &rt,
-                    &format!("acc{}", i % 8),
-                    "transfer",
-                    vec![Value::Int(2), to_ref],
-                ));
-            }
-            let report = rt.run().unwrap();
-            (report, rt.final_states())
-        };
-        let (pruned, states_pruned) = run(true);
-        let (unpruned, states_unpruned) = run(false);
-        assert!(pruned.hop_frame_bytes > 0, "transfers must hop shards");
-        assert!(
-            pruned.hop_frame_bytes < unpruned.hop_frame_bytes,
-            "pruned frames must be smaller on the wire ({} vs {})",
-            pruned.hop_frame_bytes,
-            unpruned.hop_frame_bytes
-        );
-        assert_eq!(pruned.responses, unpruned.responses);
-        assert_eq!(states_pruned, states_unpruned);
     }
 
     #[test]
@@ -4535,8 +4416,6 @@ entity Proxy:
             inbox: rx_in,
             peers,
             coordinator: coord_tx,
-            batch_mailboxes: true,
-            exec_opts: interp::ExecOpts::default(),
             async_snapshots: true,
             pending_encodes: VecDeque::new(),
             spill_dir: None,
@@ -4717,32 +4596,6 @@ entity Proxy:
         let report = rt.run().unwrap();
         assert!(report.responses.is_empty());
         assert!(report.errors[&id.0].contains("does not exist"));
-    }
-
-    #[test]
-    fn per_event_sends_compute_the_same_results() {
-        let run = |batch_mailboxes: bool| {
-            let mut rt = account_runtime(
-                ShardConfig {
-                    batch_mailboxes,
-                    ..ShardConfig::with_shards(4)
-                },
-                8,
-            );
-            for i in 0..30u64 {
-                let to_ref =
-                    Value::entity_ref("Account", Key::Str(format!("acc{}", (i + 3) % 8).into()));
-                rt.submit(call(
-                    &rt,
-                    &format!("acc{}", i % 8),
-                    "transfer",
-                    vec![Value::Int(2), to_ref],
-                ));
-            }
-            let report = rt.run().unwrap();
-            (report.responses.clone(), rt.final_states())
-        };
-        assert_eq!(run(true), run(false));
     }
 }
 

@@ -17,9 +17,9 @@
 //!   leaves recovery chains at full + ≤ 1 merged delta
 //!   (`report.max_delta_chain == 1`) with folds actually happening
 //!   (`report.snapshots_compacted > 0`).
-//! * All three scheduling knobs (`async_snapshots`, `pipelined_batches`,
-//!   `precise_footprints`) stay oracle-equivalent in every combination —
-//!   the optimizations change schedules and byte timing, never results.
+//! * Both scheduling knobs (`async_snapshots`, `pipelined_batches`) stay
+//!   oracle-equivalent in every combination — the optimizations change
+//!   schedules and byte timing, never results.
 
 use shard_runtime::{FailurePlan, ShardConfig, ShardRuntime};
 use stateful_entities::{Key, MethodCall, Value};
@@ -264,28 +264,22 @@ fn amortized_compaction_invariant_holds_under_async_sealing() {
 }
 
 #[test]
-fn all_snapshot_pipeline_footprint_knobs_stay_oracle_equivalent() {
+fn all_snapshot_pipeline_knobs_stay_oracle_equivalent() {
     let calls = mixed_calls(90);
     let oracle = oracle_outcomes(&calls);
     for async_snapshots in [true, false] {
         for pipelined in [true, false] {
-            for precise in [true, false] {
-                let (_, out) = run(
-                    ShardConfig {
-                        batch_size: 7,
-                        epoch_every_batches: 4,
-                        async_snapshots,
-                        pipelined_batches: pipelined,
-                        precise_footprints: precise,
-                        ..ShardConfig::with_shards(4)
-                    },
-                    &calls,
-                );
-                assert_eq!(
-                    out, oracle,
-                    "async={async_snapshots} pipelined={pipelined} precise={precise}"
-                );
-            }
+            let (_, out) = run(
+                ShardConfig {
+                    batch_size: 7,
+                    epoch_every_batches: 4,
+                    async_snapshots,
+                    pipelined_batches: pipelined,
+                    ..ShardConfig::with_shards(4)
+                },
+                &calls,
+            );
+            assert_eq!(out, oracle, "async={async_snapshots} pipelined={pipelined}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! PR 4 tentpole suite: pipelined conflict-aware batches with precise
-//! (two-kind) footprints, plus the coordinator-liveness and snapshot-chain
+//! read/write footprints, plus the coordinator-liveness and snapshot-chain
 //! bugfixes that ride along.
 //!
 //! * A hot-key **read storm** commits in ONE batch (read-read pairs no
@@ -14,8 +14,8 @@
 //! * Post-barrier **compaction** bounds every recovery chain at one full
 //!   plus at most one merged delta, even when `full_snapshot_every` would
 //!   otherwise let the chain grow for the whole run.
-//! * Both ablation knobs (`precise_footprints = false`,
-//!   `pipelined_batches = false`) stay oracle-equivalent — the optimizations
+//! * The batch-pipeline ablation knobs (`pipelined_batches = false`,
+//!   `async_snapshots = false`) stay oracle-equivalent — the optimizations
 //!   change schedules, never results.
 
 use shard_runtime::{FailurePlan, ShardConfig, ShardError};
@@ -96,20 +96,6 @@ fn hot_key_read_storm_commits_in_one_batch() {
     assert_eq!(out, oracle, "read storm diverged from the oracle");
     assert_eq!(report.deferrals, 0, "read-read pairs must not defer");
     assert_eq!(report.batches, 1, "the whole storm fits one batch");
-
-    // Ablation: the old all-RMW footprints serialize the same storm across
-    // many batches — same answers, radically different schedule.
-    let (rmw_report, rmw_out) = run_and_compare(
-        ShardConfig {
-            batch_size: 64,
-            precise_footprints: false,
-            ..ShardConfig::with_shards(4)
-        },
-        &calls,
-    );
-    assert_eq!(rmw_out, oracle);
-    assert!(rmw_report.deferrals > 0, "all-RMW must defer the hot key");
-    assert!(rmw_report.batches > 1);
 }
 
 #[test]
@@ -333,26 +319,22 @@ fn ablation_knobs_stay_oracle_equivalent_on_mixed_traffic() {
         .collect();
     let oracle = oracle_outcomes(&calls);
 
-    for precise in [true, false] {
-        for pipelined in [true, false] {
-            for async_snapshots in [true, false] {
-                let (_, out) = run_and_compare(
-                    ShardConfig {
-                        batch_size: 7,
-                        epoch_every_batches: 4,
-                        precise_footprints: precise,
-                        pipelined_batches: pipelined,
-                        async_snapshots,
-                        ..ShardConfig::with_shards(4)
-                    },
-                    &calls,
-                );
-                assert_eq!(
-                    out, oracle,
-                    "precise={precise} pipelined={pipelined} async={async_snapshots} \
-                     diverged from the oracle"
-                );
-            }
+    for pipelined in [true, false] {
+        for async_snapshots in [true, false] {
+            let (_, out) = run_and_compare(
+                ShardConfig {
+                    batch_size: 7,
+                    epoch_every_batches: 4,
+                    pipelined_batches: pipelined,
+                    async_snapshots,
+                    ..ShardConfig::with_shards(4)
+                },
+                &calls,
+            );
+            assert_eq!(
+                out, oracle,
+                "pipelined={pipelined} async={async_snapshots} diverged from the oracle"
+            );
         }
     }
 }
