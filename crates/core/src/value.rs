@@ -510,8 +510,13 @@ impl Value {
     }
 }
 
-/// The state of one entity instance: a fixed-layout `Vec<Value>` indexed by
+/// The state of one entity instance: a fixed-layout slot array indexed by
 /// the entity class's [`FieldLayout`] slots.
+///
+/// The slot array is **copy-on-write** (`Arc<[Value]>`): cloning a state
+/// costs two refcount bumps, so snapshot captures and the service read view
+/// share slot arrays with the live partition. The first write after such a
+/// clone forks the array once ([`Arc::make_mut`]); later writes are in place.
 ///
 /// This is what operators store per key and what snapshots persist. The hot
 /// path (the interpreter) reads and writes fields by `u32` slot; the
@@ -525,7 +530,7 @@ impl Value {
 #[derive(Debug, Clone)]
 pub struct EntityState {
     layout: Arc<FieldLayout>,
-    slots: Vec<Value>,
+    slots: Arc<[Value]>,
     /// Transient write marker: set by every field write, cleared by the
     /// runtime before executing a hop, so "did this invocation write?" is an
     /// O(1) question instead of a deep state comparison. Not part of
@@ -544,13 +549,14 @@ impl EntityState {
     pub fn new() -> Self {
         EntityState {
             layout: Arc::new(FieldLayout::empty()),
-            slots: Vec::new(),
+            slots: Arc::default(),
             written: false,
         }
     }
 
     /// A state laid out per `layout`, with every field set to its type's
     /// default value (what the paper's model prescribes before `__init__`).
+    /// The slot array is built in one exactly-sized allocation.
     pub fn with_layout(layout: Arc<FieldLayout>) -> Self {
         let slots = layout
             .iter()
@@ -564,7 +570,7 @@ impl EntityState {
     }
 
     /// Rebuild a state from a layout and its slot values (snapshot recovery).
-    pub fn from_parts(layout: Arc<FieldLayout>, slots: Vec<Value>) -> Self {
+    pub fn from_parts(layout: Arc<FieldLayout>, slots: Arc<[Value]>) -> Self {
         assert_eq!(layout.len(), slots.len(), "slot count must match layout");
         EntityState {
             layout,
@@ -596,11 +602,12 @@ impl EntityState {
         &self.slots[slot as usize]
     }
 
-    /// Write a field slot (hot path).
+    /// Write a field slot (hot path). Forks the slot array first if it is
+    /// shared (with a capture or a read view); otherwise writes in place.
     #[inline]
     pub fn set_slot(&mut self, slot: u32, value: Value) {
         self.written = true;
-        self.slots[slot as usize] = value;
+        Arc::make_mut(&mut self.slots)[slot as usize] = value;
     }
 
     /// All slot values in layout order.
@@ -621,11 +628,13 @@ impl EntityState {
     pub fn insert(&mut self, name: String, value: Value) {
         self.written = true;
         match self.layout.slot_of(&name) {
-            Some(slot) => self.slots[slot as usize] = value,
+            Some(slot) => Arc::make_mut(&mut self.slots)[slot as usize] = value,
             None => {
                 let ty = value.type_hint();
                 Arc::make_mut(&mut self.layout).push(name, ty);
-                self.slots.push(value);
+                let mut slots = self.slots.to_vec();
+                slots.push(value);
+                self.slots = slots.into();
             }
         }
     }
@@ -656,9 +665,10 @@ impl EntityState {
 impl PartialEq for EntityState {
     fn eq(&self, other: &Self) -> bool {
         // Fast path: instances of the same compiled class share one layout
-        // Arc, so slot vectors compare positionally.
+        // Arc, so slot arrays compare positionally — and a state compared
+        // with its own unwritten clone shares the array itself.
         if Arc::ptr_eq(&self.layout, &other.layout) {
-            return self.slots == other.slots;
+            return Arc::ptr_eq(&self.slots, &other.slots) || self.slots == other.slots;
         }
         // Layouts may differ in declaration order (e.g. ad-hoc test states vs
         // compiled ones); equality is by field name → value.

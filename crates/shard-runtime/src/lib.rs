@@ -111,11 +111,12 @@
 //! and the deferral queue (so the cut is transaction-aligned), then
 //! broadcasts an **epoch barrier** to all shards. Since PR 5 the barrier's
 //! critical path is the **capture walk only**: each shard moves its (dirty)
-//! entities' current values into a copy-on-write [`SnapshotCapture`]
-//! (`Arc`-shared values make this a refcount walk, not a deep copy — a
+//! entities' current states into a copy-on-write [`SnapshotCapture`]
+//! (`Arc`-shared slot arrays make this a refcount walk, not a deep copy — a
 //! **full** capture every `full_snapshot_every` epochs, a **dirty-entity
-//! delta** otherwise), acks immediately, and resumes executing batches. The
-//! exact-size encoder runs in the **background**, interleaved with batch
+//! delta** otherwise), acks immediately with a handle to the capture (the
+//! service tier's read view is fed from it), and resumes executing batches.
+//! The exact-size encoder runs in the **background**, interleaved with batch
 //! processing on the shard thread (whenever the inbox is empty), and the
 //! bytes ship to the coordinator asynchronously
 //! (`ShardConfig::async_snapshots = false` restores encode-in-barrier as
@@ -252,10 +253,15 @@
 //!   receiving worker joins before applying any event in it.
 //! * *responses and barrier acks* (worker → coordinator) — response
 //!   batches and barrier acks are stamped by the worker and joined by the
-//!   coordinator's collection loops. The barrier-ack stamp is the edge
-//!   that makes reading a [`racecheck::Resource::PartitionCut`] sound
-//!   (see below); dropping exactly this stamp is the seeded defect
-//!   `DefectPlan::drop_barrier_ack_stamp` and must trip the detector.
+//!   coordinator's collection loops. A barrier ack (`BarrierCaptured`)
+//!   carries an `Arc` handle to the shard's copy-on-write capture, which a
+//!   serving coordinator parks until the epoch seals and then applies to
+//!   the read view. The barrier-ack stamp is the edge that makes reading a
+//!   [`racecheck::Resource::PartitionCut`] sound — the capture handle and
+//!   the epoch's bytes alike (see below); dropping exactly this stamp is
+//!   the seeded defect `DefectPlan::drop_barrier_ack_stamp` and must trip
+//!   the detector. The shard never writes through the shared handle: its
+//!   next write to a captured entity forks that entity's slot array.
 //! * *snapshot-byte arrival* (worker → coordinator, async) — the encoded
 //!   epoch bytes carry the encoding worker's stamp, joined at each of the
 //!   coordinator's three drain points before the store mutation.
@@ -1018,10 +1024,13 @@ enum ToCoordinator {
         stamp: Option<racecheck::Stamp>,
     },
     /// Epoch-barrier ack: the copy-on-write capture is done (the cut is
-    /// established), the shard is resuming batch work. Carries only the
-    /// capture-walk timing — no bytes. The stamp on this ack is the
-    /// **load-bearing** happens-before edge for the snapshot cut: the
-    /// coordinator must join it before it may read this epoch's bytes
+    /// established), the shard is resuming batch work. Carries the
+    /// capture-walk timing and a shared handle to the capture itself — no
+    /// bytes. A serving coordinator parks the handle until the epoch seals
+    /// and applies it to the read view and CDC, with no decode; otherwise it
+    /// is dropped on receipt. The stamp on this ack is the **load-bearing**
+    /// happens-before edge for the snapshot cut: the coordinator must join
+    /// it before it may read the capture or this epoch's bytes
     /// (`SnapshotBytes` itself is deliberately unstamped — FIFO order
     /// behind the ack carries the edge, and the race detector proves it).
     BarrierCaptured {
@@ -1029,6 +1038,7 @@ enum ToCoordinator {
         shard: usize,
         epoch: u64,
         capture_ns: u64,
+        capture: Arc<SnapshotCapture>,
         stamp: Option<racecheck::Stamp>,
     },
     /// A capture's encoded bytes, shipped when the encoder ran — inside the
@@ -1082,7 +1092,7 @@ enum PendingEncode {
     Captured {
         incarnation: u64,
         epoch: u64,
-        capture: SnapshotCapture,
+        capture: Arc<SnapshotCapture>,
     },
     /// A capture encoded early and spilled to a checksummed blob because the
     /// pending queue exceeded its bound. Read back (and verified) when its
@@ -1243,11 +1253,11 @@ impl ShardWorker {
                 // walk. Ack immediately; encoding is deferred (async mode)
                 // or runs right here (sync ablation).
                 let t0 = Instant::now();
-                let capture = if full {
+                let capture = Arc::new(if full {
                     self.state.capture_full()
                 } else {
                     self.state.capture_delta()
-                };
+                });
                 let capture_ns = t0.elapsed().as_nanos() as u64;
                 // The cut itself is a monitored resource, per epoch: this
                 // write plus the stamped ack below is what licenses the
@@ -1279,6 +1289,7 @@ impl ShardWorker {
                     shard: self.shard,
                     epoch,
                     capture_ns,
+                    capture: Arc::clone(&capture),
                     stamp: ack_stamp,
                 });
                 if self.async_snapshots {
@@ -2656,10 +2667,13 @@ struct Coordinator<'a> {
     /// removed at first delivery (exactly-once to sessions — a replayed
     /// duplicate finds no entry).
     call_sessions: HashMap<u64, (u64, u64)>,
-    /// Decoded snapshot images per **pending** epoch, applied to the read
-    /// view (and emitted as CDC) when the epoch seals. Cleared on recovery:
-    /// a failed timeline's pending cut must never become visible.
-    pending_view: BTreeMap<u64, Vec<(usize, state_backend::DecodedImage)>>,
+    /// Barrier-capture handles per **pending** epoch (service mode only),
+    /// applied to the read view (and emitted as CDC) when the epoch seals.
+    /// Holds at most one handle per partition per unsealed epoch; the
+    /// handles share slot arrays with the live partitions, so an unwritten
+    /// entity costs a refcount, not a copy. Cleared on recovery: a failed
+    /// timeline's pending cut must never become visible.
+    pending_view: BTreeMap<u64, Vec<(usize, Arc<SnapshotCapture>)>>,
     /// One past the highest call id consumed from ingress. Because
     /// [`Coordinator::form_batch`] merges partitions by **global minimum
     /// call id**, the consumed set is always a call-id prefix — so this
@@ -3308,22 +3322,6 @@ impl Coordinator<'_> {
                 "absorb snapshot bytes",
             );
         }
-        if self.service.is_some() {
-            // Decode for the read view / CDC while the bytes are hot; the
-            // image stays pending until the epoch seals (a failed
-            // timeline's cut must never become visible).
-            let image = state_backend::decode_snapshot(&bytes).map_err(|err| {
-                ShardError::CorruptSnapshot {
-                    epoch,
-                    partition: shard,
-                    detail: err.to_string(),
-                }
-            })?;
-            self.pending_view
-                .entry(epoch)
-                .or_default()
-                .push((shard, image));
-        }
         report.snapshots_taken += 1;
         if kind == SnapshotKind::Delta {
             report.delta_snapshots_taken += 1;
@@ -3616,11 +3614,12 @@ impl Coordinator<'_> {
                     shard,
                     epoch,
                     capture_ns,
+                    capture,
                     stamp,
                 } => {
                     // The load-bearing join: after this, the coordinator's
                     // clock covers the shard's capture-write, licensing the
-                    // eventual read of this epoch's bytes.
+                    // eventual read of the capture and this epoch's bytes.
                     if let (Some(monitor), Some(stamp)) = (&self.monitor, &stamp) {
                         monitor.join(COORDINATOR_ROLE, stamp);
                     }
@@ -3630,6 +3629,14 @@ impl Coordinator<'_> {
                     debug_assert_eq!(epoch, self.epoch);
                     debug_assert!(shard < self.shard_txs.len());
                     report.barrier_capture_ns += capture_ns;
+                    if self.service.is_some() {
+                        // Stays pending until the epoch seals: a failed
+                        // timeline's cut must never become visible.
+                        self.pending_view
+                            .entry(epoch)
+                            .or_default()
+                            .push((shard, capture));
+                    }
                     awaiting -= 1;
                 }
                 msg @ ToCoordinator::SnapshotBytes { .. } if mid_encode_armed => {

@@ -30,9 +30,11 @@
 //!    answers mid-run, not at end-of-run.
 //! 4. **Seal = visibility.** When an epoch seals — every partition's
 //!    snapshot bytes arrived — the sealed cut becomes (a) the recovery
-//!    point, (b) the **read view**: a decoded MVCC version serving point
-//!    reads and per-class scans with zero pipeline involvement, and (c) the
-//!    CDC feed: the cut's dirty entities are diffed/emitted as
+//!    point, (b) the **read view**: a copy-on-write MVCC version, fed by
+//!    the shards' barrier captures (no snapshot bytes are decoded), whose
+//!    entity states share slot arrays with the live partitions; it serves
+//!    point reads and per-class scans with zero pipeline involvement, and
+//!    (c) the CDC feed: the cut's dirty entities are diffed/emitted as
 //!    [`StateUpdate`]s to matching subscriptions. A reader can therefore
 //!    never observe state that a crash could roll back, and a subscriber's
 //!    replica replays identically across a recovery: updates are emitted
@@ -50,7 +52,7 @@
 //! egress dedup, and CDC-per-seal semantics carry over).
 
 use crate::ShardError;
-use state_backend::DecodedImage;
+use state_backend::{SnapshotCapture, SnapshotKind};
 use stateful_entities::{ClassId, EntityAddr, EntityState, MethodCall, ShardMap, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -144,6 +146,18 @@ enum SubFilter {
     Class(ClassId),
     /// One entity.
     Entity(EntityAddr),
+    /// Nothing: a class name no compiled program declares.
+    Nothing,
+}
+
+impl SubFilter {
+    fn matches(&self, addr: &EntityAddr) -> bool {
+        match self {
+            SubFilter::Class(class) => addr.class == *class,
+            SubFilter::Entity(entity) => addr == entity,
+            SubFilter::Nothing => false,
+        }
+    }
 }
 
 struct SubEntry {
@@ -219,9 +233,12 @@ struct IngressQueue {
 /// it on delivery.
 type StampedResponse = (SessionResponse, Option<racecheck::Stamp>);
 
-/// The read view: per-partition decoded entity maps at the latest **sealed**
-/// epoch. Partition-scoped because full snapshots replace one partition's
-/// image wholesale.
+/// The read view: per-partition entity maps at the latest **sealed** epoch,
+/// a copy-on-write version fed by the shards' barrier captures. Its states
+/// share slot arrays with the captures (and so with the live partitions
+/// until the next write forks them), so the view costs map nodes, not a
+/// second copy of the state. Partition-scoped because each capture covers
+/// exactly one partition.
 struct ReadView {
     epoch: u64,
     partitions: Vec<BTreeMap<EntityAddr, EntityState>>,
@@ -369,13 +386,59 @@ impl ServiceCore {
         self.latest_cut.store(epoch, Ordering::SeqCst);
     }
 
-    /// Apply one **sealed** epoch to the read view and emit CDC updates.
-    /// Delta images carry exactly the cut's dirty set and emit every entry;
-    /// full images (the periodic rebase) are diffed against the view so
-    /// subscribers see changes, not a full re-broadcast. Returns the number
-    /// of updates delivered (counting fan-out to multiple subscriptions).
-    pub(crate) fn apply_sealed(&self, epoch: u64, parts: Vec<(usize, DecodedImage)>) -> u64 {
-        let mut changed: Vec<StateUpdate> = Vec::new();
+    /// Apply one **sealed** epoch's barrier captures to the read view and
+    /// emit CDC updates. Delta captures carry exactly the cut's dirty set and
+    /// emit every entry; full captures (the periodic rebase) are diffed
+    /// against the view so subscribers see changes, not a full re-broadcast.
+    /// The diff is a merge walk under the *read* lock (the coordinator is the
+    /// view's only writer), and an unwritten entity shares its slot array
+    /// with the view, so it compares by pointer; readers then wait only for
+    /// the write of the changed entries. Field images are built only for
+    /// updates some subscription matches. Returns the number of updates
+    /// delivered (counting fan-out to multiple subscriptions).
+    pub(crate) fn apply_sealed(
+        &self,
+        epoch: u64,
+        parts: Vec<(usize, Arc<SnapshotCapture>)>,
+    ) -> u64 {
+        // Changed entities per partition as copy-on-write handles; `None`
+        // marks a deletion.
+        let mut changed: Vec<(usize, EntityAddr, Option<EntityState>)> = Vec::new();
+        {
+            // lock-order: view alone (read), dropped before the write below.
+            let view = match self.view.read() {
+                Ok(v) => v,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            for (partition, capture) in &parts {
+                let p = *partition;
+                let entities = capture.entities();
+                match capture.kind() {
+                    SnapshotKind::Delta => {
+                        changed.extend(
+                            entities
+                                .iter()
+                                .map(|(a, s)| (p, a.clone(), Some(s.clone()))),
+                        );
+                        changed.extend(capture.tombstones().iter().map(|a| (p, a.clone(), None)));
+                    }
+                    SnapshotKind::Full => {
+                        // Both sides are in address order.
+                        let mut old = view.partitions[p].iter().peekable();
+                        for (addr, state) in entities {
+                            while let Some((gone, _)) = old.next_if(|(a, _)| *a < addr) {
+                                changed.push((p, gone.clone(), None));
+                            }
+                            match old.next_if(|(a, _)| *a == addr) {
+                                Some((_, prev)) if prev == state => {}
+                                _ => changed.push((p, addr.clone(), Some(state.clone()))),
+                            }
+                        }
+                        changed.extend(old.map(|(gone, _)| (p, gone.clone(), None)));
+                    }
+                }
+            }
+        }
         {
             // Poisoning here would mean a *reader* panicked mid-read (readers
             // only clone); treat the map as still valid rather than wedging
@@ -385,51 +448,14 @@ impl ServiceCore {
                 Ok(v) => v,
                 Err(poisoned) => poisoned.into_inner(),
             };
-            for (partition, image) in parts {
-                let slot = &mut view.partitions[partition];
-                match image.kind {
-                    state_backend::SnapshotKind::Delta => {
-                        for (addr, state) in image.entities {
-                            changed.push(StateUpdate {
-                                epoch,
-                                addr: addr.clone(),
-                                fields: field_image(&state),
-                                deleted: false,
-                            });
-                            slot.insert(addr, state);
-                        }
-                        for addr in image.tombstones {
-                            slot.remove(&addr);
-                            changed.push(StateUpdate {
-                                epoch,
-                                addr,
-                                fields: Vec::new(),
-                                deleted: true,
-                            });
-                        }
+            for (partition, addr, state) in &changed {
+                let slot = &mut view.partitions[*partition];
+                match state {
+                    Some(state) => {
+                        slot.insert(addr.clone(), state.clone());
                     }
-                    state_backend::SnapshotKind::Full => {
-                        for (addr, state) in &image.entities {
-                            if slot.get(addr).is_none_or(|old| old != state) {
-                                changed.push(StateUpdate {
-                                    epoch,
-                                    addr: addr.clone(),
-                                    fields: field_image(state),
-                                    deleted: false,
-                                });
-                            }
-                        }
-                        for addr in slot.keys() {
-                            if !image.entities.contains_key(addr) {
-                                changed.push(StateUpdate {
-                                    epoch,
-                                    addr: addr.clone(),
-                                    fields: Vec::new(),
-                                    deleted: true,
-                                });
-                            }
-                        }
-                        *slot = image.entities;
+                    None => {
+                        slot.remove(addr);
                     }
                 }
             }
@@ -440,13 +466,16 @@ impl ServiceCore {
         if !changed.is_empty() {
             // lock-order: subs alone; the view guard was dropped above.
             if let Ok(subs) = self.subs.lock() {
-                for update in &changed {
-                    for sub in subs.iter() {
-                        let matches = match &sub.filter {
-                            SubFilter::Class(class) => update.addr.class == *class,
-                            SubFilter::Entity(addr) => update.addr == *addr,
-                        };
-                        if matches && sub.tx.send(update.clone()).is_ok() {
+                for (_, addr, state) in changed {
+                    let mut update: Option<StateUpdate> = None;
+                    for sub in subs.iter().filter(|sub| sub.filter.matches(&addr)) {
+                        let update = update.get_or_insert_with(|| StateUpdate {
+                            epoch,
+                            addr: addr.clone(),
+                            fields: state.as_ref().map(field_image).unwrap_or_default(),
+                            deleted: state.is_none(),
+                        });
+                        if sub.tx.send(update.clone()).is_ok() {
                             delivered += 1;
                         }
                     }
@@ -601,8 +630,10 @@ impl ServiceHandle {
     pub fn subscribe_class(&self, class: &str) -> Subscription {
         let filter = match ClassId::lookup(class) {
             Some(id) => SubFilter::Class(id),
-            // Unknown class: a valid subscription that never matches.
-            None => SubFilter::Class(ClassId::intern(class)),
+            // Unknown class: a valid subscription that never matches. Never
+            // intern the name: the class table is process-global and never
+            // pruned, so client-chosen names must not grow it.
+            None => SubFilter::Nothing,
         };
         self.subscribe(filter)
     }
@@ -754,5 +785,57 @@ impl Drop for ClientSession {
         if let Ok(mut sessions) = self.core.sessions.lock() {
             sessions.remove(&self.id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use state_backend::PartitionState;
+    use stateful_entities::Key;
+
+    fn account(balance: i64) -> EntityState {
+        let mut state = EntityState::new();
+        state.insert("balance".into(), Value::Int(balance));
+        state
+    }
+
+    /// A full capture is merge-diffed against the view: an unwritten entity
+    /// is not re-emitted, while a changed, a created and a deleted one are,
+    /// and the view ends equal to the partition.
+    #[test]
+    fn full_capture_diff_emits_only_changes() {
+        let addr = |k: i64| EntityAddr::new("DiffAccount", Key::Int(k));
+        let mut part = PartitionState::new();
+        for k in 0..4 {
+            part.put(addr(k), account(k));
+        }
+        let core = ServiceCore::new(Arc::new(ShardMap::uniform(1)), 1, 0);
+        core.seed_view(std::slice::from_ref(&part));
+        let subscription = ServiceHandle::new(Arc::clone(&core)).subscribe_class("DiffAccount");
+
+        part.take(&addr(1));
+        part.get_mut(&addr(2))
+            .expect("loaded")
+            .insert("balance".into(), Value::Int(20));
+        part.put(addr(5), account(5));
+        let delivered = core.apply_sealed(1, vec![(0, Arc::new(part.capture_full()))]);
+
+        let updates = subscription.drain();
+        assert_eq!(delivered, 3);
+        let summary: Vec<(EntityAddr, bool)> = updates
+            .iter()
+            .map(|u| (u.addr.clone(), u.deleted))
+            .collect();
+        assert_eq!(
+            summary,
+            vec![(addr(1), true), (addr(2), false), (addr(5), false)]
+        );
+        assert_eq!(updates[1].fields, vec![("balance".into(), Value::Int(20))]);
+        let view = core.view.read().expect("view lock");
+        assert_eq!(view.epoch, 1);
+        let expected: BTreeMap<EntityAddr, EntityState> =
+            part.iter().map(|(a, s)| (a.clone(), s.clone())).collect();
+        assert_eq!(view.partitions[0], expected);
     }
 }

@@ -41,11 +41,15 @@
 //! Since PR 5 the *cut* and the *materialization* of a snapshot are separate
 //! steps. [`PartitionState::capture_full`] / [`PartitionState::capture_delta`]
 //! move the (dirty) entities' current values into a [`SnapshotCapture`] — a
-//! copy-on-write buffer: entity values are `Arc`-shared, so the capture walk
-//! is a refcount walk plus one small `Vec` per entity, not a deep copy — and
-//! re-base the dirty set exactly like the eager `snapshot_*` methods do.
+//! copy-on-write buffer: each [`EntityState`]'s slot array is `Arc`-shared
+//! with the live partition, so the capture walk is a refcount walk into one
+//! exactly-sized `Vec`, with no per-entity allocation — and re-base the
+//! dirty set exactly like the eager `snapshot_*` methods do. The first write
+//! to a captured entity forks its slot array; the capture keeps the old one.
 //! [`SnapshotCapture::encode`] then runs the exact-size encoder at any later
-//! point, off the runtime's quiescent barrier. The eager
+//! point, off the runtime's quiescent barrier, and the same capture can feed
+//! a consumer that wants the cut in decoded form (the service tier's read
+//! view and CDC) without a codec round-trip. The eager
 //! [`PartitionState::snapshot_full`] / [`PartitionState::snapshot_delta`]
 //! remain for callers that want capture + encode in one step.
 //!
@@ -499,12 +503,12 @@ impl PartitionState {
     }
 }
 
-/// A copy-on-write snapshot cut: the captured entities' values at barrier
+/// A copy-on-write snapshot cut: the captured entities' states at barrier
 /// time, held in decoded form so the (comparatively expensive) encoding can
-/// run later, off the runtime's quiescent point. Values inside are
+/// run later, off the runtime's quiescent point. Each state's slot array is
 /// `Arc`-shared with the live partition — a subsequent write to the live
-/// entity replaces its slot value, it never mutates the shared payload — so
-/// the capture stays a consistent cut at zero copy cost.
+/// entity forks the array, it never mutates the shared one — so the capture
+/// stays a consistent cut at the cost of one refcount bump per entity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotCapture {
     kind: SnapshotKind,
@@ -526,6 +530,18 @@ impl SnapshotCapture {
     /// Number of tombstones in the capture.
     pub fn tombstone_count(&self) -> usize {
         self.tombstones.len()
+    }
+
+    /// The captured entities, in address order (for a delta: exactly the
+    /// dirty set of the cut).
+    pub fn entities(&self) -> &[(EntityAddr, EntityState)] {
+        &self.entities
+    }
+
+    /// Entities removed since the previous cut, in address order (always
+    /// empty for a full capture).
+    pub fn tombstones(&self) -> &[EntityAddr] {
+        &self.tombstones
     }
 
     /// Materialize the capture through the exact-size encoder. Byte-for-byte
@@ -692,36 +708,6 @@ fn encode<'a>(
     out
 }
 
-/// A decoded snapshot image: the entity map plus tombstones, with the kind
-/// made explicit. This is the consumer-facing view of the codec — the
-/// service tier's read view and CDC egress decode sealed epoch bytes with
-/// it instead of re-implementing the wire format.
-#[derive(Debug, Clone)]
-pub struct DecodedImage {
-    /// Full partition image or dirty-set delta.
-    pub kind: SnapshotKind,
-    /// Decoded entities (for a delta: exactly the dirty set of the cut).
-    pub entities: BTreeMap<EntityAddr, EntityState>,
-    /// Entities deleted since the previous cut (always empty for a full).
-    pub tombstones: Vec<EntityAddr>,
-}
-
-/// Decode any snapshot payload (full or delta) into a [`DecodedImage`].
-pub fn decode_snapshot(bytes: &[u8]) -> CodecResult<DecodedImage> {
-    let (kind, entities, tombstones) = decode(bytes)?;
-    let kind = if kind == KIND_FULL {
-        SnapshotKind::Full
-    } else {
-        // decode() rejects anything other than KIND_FULL / KIND_DELTA.
-        SnapshotKind::Delta
-    };
-    Ok(DecodedImage {
-        kind,
-        entities,
-        tombstones,
-    })
-}
-
 type DecodedSnapshot = (u8, BTreeMap<EntityAddr, EntityState>, Vec<EntityAddr>);
 
 fn decode(bytes: &[u8]) -> CodecResult<DecodedSnapshot> {
@@ -787,9 +773,20 @@ fn decode(bytes: &[u8]) -> CodecResult<DecodedSnapshot> {
             .get(layout_idx)
             .ok_or_else(|| CodecError::new(format!("bad layout index {layout_idx}")))?
             .clone();
-        let mut slots = Vec::with_capacity(layout.len());
-        for _ in 0..layout.len() {
-            slots.push(get_value(input)?);
+        // Collect straight into the copy-on-write slot array (one exactly-
+        // sized allocation); the first decode error stops reading.
+        let mut error = None;
+        let slots: Arc<[Value]> = (0..layout.len())
+            .map(|_| match error {
+                Some(_) => Value::None,
+                None => get_value(input).unwrap_or_else(|err| {
+                    error = Some(err);
+                    Value::None
+                }),
+            })
+            .collect();
+        if let Some(err) = error {
+            return Err(err);
         }
         raw_entities.push((class_idx, key, EntityState::from_parts(layout, slots)));
     }

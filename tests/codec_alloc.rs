@@ -16,7 +16,12 @@
 //!   front) and exactly **one payload-sized allocation** (the output);
 //! * decoding performs exactly **one payload-sized allocation** (the single
 //!   wire-to-`Arc<str>` copy) — the Arc decode path itself was never the
-//!   regression and must stay single-copy.
+//!   regression and must stay single-copy;
+//! * a barrier capture is a refcount walk: `capture_full` over 1,000 loaded
+//!   accounts allocates only its output vector, never per entity, because
+//!   entity slot arrays are copy-on-write;
+//! * the first write to a captured entity forks its slot array (exactly one
+//!   allocation) and the second write is in place (none).
 //!
 //! The file contains a single #[test] so no sibling test thread can disturb
 //! the counters.
@@ -24,7 +29,7 @@
 use stateful_entities::{interp, EntityAddr, Key, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use workloads::{account_program, INITIAL_BALANCE};
+use workloads::{account_addr, account_init_args, account_program, INITIAL_BALANCE};
 
 /// Allocations at least this large are "payload-sized" for a 50 KB entity.
 const BIG: usize = 40_000;
@@ -142,4 +147,57 @@ fn snapshot_codec_allocation_counts_stay_fixed() {
         dec.allocs <= 40,
         "decode allocation count regressed: {dec:?}"
     );
+
+    // Capture: a refcount walk into one exactly-sized vector.
+    const ACCOUNTS: usize = 1_000;
+    let mut part = state_backend::PartitionState::new();
+    for i in 0..ACCOUNTS {
+        let (_, state) =
+            interp::instantiate(&program.ir, "Account", &account_init_args(i, 64)).unwrap();
+        part.put(account_addr(i), state);
+    }
+    let mut capture_best: Option<Counts> = None;
+    let mut capture = part.capture_full();
+    for _ in 0..5 {
+        drop(capture);
+        let (next, c) = counted(|| part.capture_full());
+        capture = next;
+        if capture_best.is_none_or(|b| c.allocs < b.allocs) {
+            capture_best = Some(c);
+        }
+    }
+    let cap = capture_best.unwrap();
+    assert_eq!(capture.entity_count(), ACCOUNTS);
+    assert!(
+        cap.allocs <= 2,
+        "capture_full over {ACCOUNTS} entities allocated per entity: {cap:?}"
+    );
+
+    // Copy-on-write: the first write after the capture forks the written
+    // entity's slot array once; the capture keeps the old one.
+    let addr = account_addr(7);
+    let balance = part
+        .get(&addr)
+        .unwrap()
+        .layout()
+        .slot_of("balance")
+        .unwrap();
+    let state = part.get_mut(&addr).unwrap();
+    let (_, first) = counted(|| state.set_slot(balance, Value::Int(1)));
+    let (_, second) = counted(|| state.set_slot(balance, Value::Int(2)));
+    assert_eq!(
+        first.allocs, 1,
+        "first write to a captured entity must fork its slots once: {first:?}"
+    );
+    assert_eq!(
+        second.allocs, 0,
+        "second write must be in place: {second:?}"
+    );
+    let captured = capture
+        .entities()
+        .iter()
+        .find(|(a, _)| *a == addr)
+        .map(|(_, s)| s.slot(balance).clone());
+    assert_eq!(captured, Some(Value::Int(INITIAL_BALANCE)));
+    assert_eq!(part.get(&addr).unwrap().slot(balance), &Value::Int(2));
 }

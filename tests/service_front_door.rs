@@ -352,6 +352,47 @@ fn scan_class_serves_the_baseline_cut() {
     .expect("serve");
 }
 
+/// Regression: subscribing to an unknown class name used to intern it into
+/// the process-global, never-pruned class table — one leaked name per
+/// distinct string a client sent. Such a subscription is valid but matches
+/// nothing, and the names stay unknown.
+#[test]
+fn unknown_class_subscriptions_never_grow_the_class_table() {
+    const NAMES: usize = 1_000;
+    let names: Vec<String> = (0..NAMES).map(|i| format!("NoSuchClass{i}")).collect();
+    let ir = account_program().ir;
+    let mut rt = service_runtime(base_config());
+    rt.serve(|handle| {
+        let subscriptions: Vec<_> = names.iter().map(|n| handle.subscribe_class(n)).collect();
+        // A write seals and fans out CDC; none of it may reach them.
+        let mut session = handle.session();
+        session
+            .submit(Operation::Update { key: 0, value: 77 }.to_call(&ir))
+            .expect("admitted");
+        assert!(session
+            .recv_timeout(Duration::from_secs(10))
+            .expect("write answered")
+            .result
+            .is_ok());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.read_field(&account_addr(0), "balance").value != Some(Value::Int(77)) {
+            assert!(Instant::now() < deadline, "sealed write never visible");
+            std::thread::yield_now();
+        }
+        for subscription in &subscriptions {
+            assert!(subscription.try_recv().is_none());
+        }
+    })
+    .expect("serve");
+    for name in &names {
+        assert_eq!(
+            stateful_entities::ClassId::lookup(name),
+            None,
+            "subscribing interned `{name}`"
+        );
+    }
+}
+
 /// Fold a class subscription's `StateUpdate` stream over the baseline scan:
 /// the replica must finish exactly equal to the runtime's final states —
 /// every sealed epoch emitted once, in order, with full post-images.

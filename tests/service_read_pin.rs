@@ -11,6 +11,11 @@
 //!   quiesced, ten thousand point reads and class scans must move those
 //!   counters by exactly zero — reads are served from the already-decoded
 //!   sealed cut, never by re-encoding or re-decoding state.
+//! * Sealing itself decodes nothing: the read view and CDC are fed by the
+//!   shards' copy-on-write barrier captures, not by decoding the sealed
+//!   snapshot bytes. A writing session whose every epoch is a full
+//!   snapshot (which the amortized store never decodes either) seals
+//!   several epochs with `decode_calls` unmoved.
 //!
 //! The codec counters are **process-global** (relaxed atomics), so this pin
 //! lives in its own integration-test binary and runs as a single `#[test]`:
@@ -27,13 +32,17 @@ const READS: usize = 10_000;
 const SCANS: usize = 200;
 
 fn service_runtime() -> ShardRuntime {
+    service_runtime_rebasing_every(3)
+}
+
+fn service_runtime_rebasing_every(full_snapshot_every: u64) -> ShardRuntime {
     let program = account_program();
     let mut rt = ShardRuntime::new(
         program.ir.clone(),
         ShardConfig {
             batch_size: 8,
             epoch_every_batches: 4,
-            full_snapshot_every: 3,
+            full_snapshot_every,
             ..ShardConfig::with_shards(SHARDS)
         },
     )
@@ -142,5 +151,49 @@ fn snapshot_reads_execute_zero_pipeline_batches_and_zero_codec_work() {
     assert_eq!(
         codec_delta, zero,
         "{READS} reads + {SCANS} scans performed codec work: {codec_delta:?}"
+    );
+
+    // Phase 3: writes that seal several full-snapshot epochs. Every seal
+    // updates the read view (each write becomes readable), yet nothing is
+    // decoded: the view takes the barrier captures, not the sealed bytes.
+    const WRITES: i64 = 5;
+    let mut rt = service_runtime_rebasing_every(1);
+    let before = state_backend::codec_stats::current();
+    let (report, ()) = rt
+        .serve(|handle| {
+            let addr = account_addr(1);
+            let mut session = handle.session();
+            for value in 1..=WRITES {
+                session
+                    .submit(Operation::Update { key: 1, value }.to_call(&ir))
+                    .expect("admitted");
+                assert!(session
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("write answered")
+                    .result
+                    .is_ok());
+                // Each write's epoch seals before the next write is sent.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while handle.read_field(&addr, "balance").value != Some(Value::Int(value)) {
+                    assert!(Instant::now() < deadline, "sealed write never visible");
+                    std::thread::yield_now();
+                }
+            }
+        })
+        .expect("full-snapshot write serve");
+    let codec = state_backend::codec_stats::current().since(&before);
+    assert!(
+        report.epochs_completed >= 3,
+        "expected at least 3 sealed epochs, got {}",
+        report.epochs_completed
+    );
+    assert_eq!(
+        report.delta_snapshots_taken, 0,
+        "full_snapshot_every = 1 must take only full snapshots"
+    );
+    assert_eq!(
+        codec.decode_calls, 0,
+        "sealing {} epochs decoded snapshots: {codec:?}",
+        report.epochs_completed
     );
 }

@@ -16,6 +16,10 @@
 //! * **Service mode survives a cold restart** — a durable deployment serves
 //!   sessions, restarts from disk alone, and serves again from the recovered
 //!   states.
+//! * **Spilled captures serve the same view** — with
+//!   `max_pending_captures = 0` every barrier capture spills to disk on its
+//!   shard while the coordinator keeps the capture handle for the read view;
+//!   CDC, the final read view and the final states equal the default run's.
 
 use durable_log::testutil::TempDir;
 use durable_log::{CrashPoint, FaultInjector};
@@ -52,8 +56,17 @@ fn in_memory_runtime() -> ShardRuntime {
 }
 
 fn durable_boot(dir: &Path, fault: &FaultInjector) -> ShardRuntime {
+    durable_boot_bounded(dir, fault, ShardConfig::default().max_pending_captures)
+}
+
+fn durable_boot_bounded(
+    dir: &Path,
+    fault: &FaultInjector,
+    max_pending_captures: usize,
+) -> ShardRuntime {
     let program = account_program();
     let config = ShardConfig {
+        max_pending_captures,
         durable: Some(DurableConfig {
             dir: dir.to_path_buf(),
             group_commit_window: 4,
@@ -80,6 +93,15 @@ fn credit_ops(count: usize) -> Vec<Operation> {
             amount: 1 + (i % 5) as i64,
         })
         .collect()
+}
+
+fn balance_sum<'a>(images: impl Iterator<Item = &'a Vec<(String, Value)>>) -> i64 {
+    images
+        .map(|fields| match fields.iter().find(|(n, _)| n == "balance") {
+            Some((_, Value::Int(b))) => *b,
+            other => panic!("non-int balance: {other:?}"),
+        })
+        .sum()
 }
 
 fn field_images(rt: &ShardRuntime) -> BTreeMap<EntityAddr, Vec<(String, Value)>> {
@@ -324,13 +346,7 @@ fn durable_service_cold_restart_serves_recovered_state() {
         })
         .expect("second serve");
 
-    let before: i64 = first_finals
-        .values()
-        .map(|fields| match fields.iter().find(|(n, _)| n == "balance") {
-            Some((_, Value::Int(b))) => *b,
-            other => panic!("non-int balance: {other:?}"),
-        })
-        .sum();
+    let before = balance_sum(first_finals.values());
     let after: i64 = rt
         .final_states()
         .values()
@@ -340,4 +356,74 @@ fn durable_service_cold_restart_serves_recovered_state() {
         })
         .sum();
     assert_eq!(after, before + 17);
+}
+
+/// Capture spilling under serve: with `max_pending_captures = 0` each shard
+/// encodes every barrier capture early and spills it to disk, while the
+/// coordinator still holds the capture handle it parked for the read view.
+/// The folded CDC stream, the final read view and the final states must all
+/// equal a run at the default bound.
+#[test]
+fn spilled_captures_serve_the_same_view_and_cdc() {
+    const CALLS: usize = 240;
+    let ir = account_program().ir;
+    let ops = credit_ops(CALLS);
+    let credited: i64 = ops
+        .iter()
+        .map(|op| match op {
+            Operation::Credit { amount, .. } => *amount,
+            _ => unreachable!(),
+        })
+        .sum();
+    let expected_total = ACCOUNTS as i64 * INITIAL_BALANCE + credited;
+    type Images = BTreeMap<EntityAddr, Vec<(String, Value)>>;
+
+    let run = |max_pending_captures: usize| -> (u64, Images, Images, Images) {
+        let tmp = TempDir::new("service-spill");
+        let mut rt = durable_boot_bounded(tmp.path(), &FaultInjector::new(), max_pending_captures);
+        let (report, (baseline, subscription, view)) = rt
+            .serve(|handle| {
+                let subscription = handle.subscribe_class("Account");
+                let baseline = handle.scan_class("Account").value;
+                let mut session = handle.session();
+                for op in &ops {
+                    session.submit(op.to_call(&ir)).expect("shedding off");
+                }
+                assert_eq!(session.collect(CALLS).len(), CALLS);
+                // The final read view: wait until the last credit's epoch
+                // has sealed (every credit is visible in the balance sum).
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                let view: Images = loop {
+                    let scan: Images = handle.scan_class("Account").value.into_iter().collect();
+                    if balance_sum(scan.values()) == expected_total {
+                        break scan;
+                    }
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "the last credits never became visible"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                };
+                (baseline, subscription, view)
+            })
+            .expect("durable serve");
+        let mut replica: Images = baseline.into_iter().collect();
+        for update in subscription.drain() {
+            if update.deleted {
+                replica.remove(&update.addr);
+            } else {
+                replica.insert(update.addr, update.fields);
+            }
+        }
+        (report.captures_spilled, replica, view, field_images(&rt))
+    };
+
+    let (_, cdc, view, finals) = run(ShardConfig::default().max_pending_captures);
+    let (spilled, spill_cdc, spill_view, spill_finals) = run(0);
+    assert!(spilled > 0, "a bound of 0 never spilled a capture");
+    assert_eq!(cdc, finals, "default run: CDC fold diverged from finals");
+    assert_eq!(view, finals, "default run: read view diverged from finals");
+    assert_eq!(spill_finals, finals, "spilling changed the final states");
+    assert_eq!(spill_view, view, "spilling changed the final read view");
+    assert_eq!(spill_cdc, cdc, "spilling changed the folded CDC stream");
 }
